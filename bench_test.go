@@ -598,6 +598,54 @@ func BenchmarkKVScan(b *testing.B) {
 	}
 }
 
+// BenchmarkKVScanLimit is the http-kv scan shape: a limit-50 scan of
+// a prefix matching 1000 keys among 8192. The ordered key index makes
+// it a seek plus at most 50 keys per shard, independent of store size.
+func BenchmarkKVScanLimit(b *testing.B) {
+	s := kv.New(kv.Options{Mode: kv.Spin})
+	b.Cleanup(s.Close)
+	for i := 0; i < 4096; i++ {
+		s.Put(fmt.Sprintf("k:%04d", i), fmt.Sprintf("v%d.c0.0", i))
+		s.Put(fmt.Sprintf("a%04d", i), fmt.Sprintf("v%d.c0.0", i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := s.Scan("k:1", 50); len(got) != 50 || got[0].Key != "k:1000" {
+			b.Fatalf("scan returned %d rows", len(got))
+		}
+	}
+}
+
+// BenchmarkKVInsertDelete inserts a new key into a 256k-key store and
+// deletes it again: the new-key Put path, including its key-index
+// insert, whose cost is bounded by the index chunk size rather than by
+// the 16k keys per shard.
+func BenchmarkKVInsertDelete(b *testing.B) {
+	const preload = 1 << 18
+	s := kv.New(kv.Options{Mode: kv.Spin})
+	b.Cleanup(s.Close)
+	vals := make([]string, 15)
+	for i := range vals {
+		vals[i] = fmt.Sprintf("tier-%d", i)
+	}
+	for i := 0; i < preload; i++ {
+		s.Put(fmt.Sprintf("user:%07d", 2*i), vals[i%len(vals)])
+	}
+	// Odd ids fall between the preloaded keys, all over each shard.
+	fresh := make([]string, 4096)
+	for i := range fresh {
+		fresh[i] = fmt.Sprintf("user:%07d", 2*((i*7919)%preload)+1)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := fresh[i%len(fresh)]
+		s.Put(k, vals[i%len(vals)])
+		s.Delete(k)
+	}
+}
+
 // BenchmarkKernelEvents measures raw event-loop throughput.
 func BenchmarkKernelEvents(b *testing.B) {
 	w := workload.NewWorld(1, 1)

@@ -451,14 +451,30 @@ func newHandler(store *kv.Store, db *oltp.DB, rt *lcrt.Runtime, cfg handlerConfi
 			}
 			limit = n
 		}
-		for _, p := range store.Scan(r.URL.Query().Get("prefix"), limit) {
-			fmt.Fprintf(w, "%s=%s\n", p.Key, p.Value)
+		// One buffer and one Write: "key=value\n" per row.
+		rows := store.Scan(r.URL.Query().Get("prefix"), limit)
+		n := 0
+		for _, p := range rows {
+			n += len(p.Key) + len(p.Value) + 2
 		}
+		buf := make([]byte, 0, n)
+		for _, p := range rows {
+			buf = append(append(append(append(buf, p.Key...), '='), p.Value...), '\n')
+		}
+		w.Write(buf)
 	})
 	mux.HandleFunc("/lookup", func(w http.ResponseWriter, r *http.Request) {
-		for _, k := range store.Lookup(r.URL.Query().Get("value")) {
-			fmt.Fprintln(w, k)
+		// One buffer and one Write: "key\n" per key.
+		keys := store.Lookup(r.URL.Query().Get("value"))
+		n := 0
+		for _, k := range keys {
+			n += len(k) + 1
 		}
+		buf := make([]byte, 0, n)
+		for _, k := range keys {
+			buf = append(append(buf, k...), '\n')
+		}
+		w.Write(buf)
 	})
 	mux.HandleFunc("/txn", func(w http.ResponseWriter, r *http.Request) {
 		handleTxn(db, w, r)

@@ -10,6 +10,16 @@
 // load-control runtime, so contention on any shard is governed by the
 // same controller — the paper's decoupling claim, end to end.
 //
+// Costs: each shard keeps, next to its hash map and under the same
+// latch, an ordered index of its keys (index.go: sorted chunks of at
+// most 256 keys). Get and value-only Put touch only the map. A
+// new-key Put or a Delete also does a binary search in the index and
+// shifts at most one chunk's worth of positions, so its work is
+// bounded by the chunk size, not by the shard size. Scan is a seek
+// plus at most limit keys per shard, so it holds each shard latch for
+// a seek plus O(limit), not for O(shard size) — short critical
+// sections are what load control assumes.
+//
 // Lock ordering: a shard latch may be held while acquiring index
 // stripe latches; stripe latches are always acquired in ascending
 // stripe order; neither is ever held while acquiring a shard latch.
@@ -20,6 +30,8 @@ package kv
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -109,10 +121,12 @@ type KV struct {
 	Value string
 }
 
-// shard is one primary bucket: a latch and its rows.
+// shard is one primary bucket: a latch, its rows, and the rows' keys
+// in order (for Scan and ScanShard). The latch guards both.
 type shard struct {
 	mu    *golc.RWMutex
 	items map[string]string
+	keys  keyIndex
 }
 
 // stripe is one secondary-index bucket: value -> set of keys. Stripe
@@ -146,6 +160,7 @@ func New(opts Options) *Store {
 		s.shards = append(s.shards, &shard{
 			mu:    newLatch(fmt.Sprintf("kv/shard-%03d", i)),
 			items: make(map[string]string),
+			keys:  keyIndex{max: chunkCap},
 		})
 	}
 	for i := 0; i < o.IndexStripes; i++ {
@@ -276,6 +291,9 @@ func (s *Store) Put(key, value string) (string, bool) {
 func (s *Store) putLocked(sh *shard, key, value string) (string, bool) {
 	old, existed := sh.items[key]
 	sh.items[key] = value
+	if !existed {
+		sh.keys.insert(key)
+	}
 	if !existed || old != value {
 		s.reindex(key, old, existed, value, true)
 	}
@@ -296,6 +314,7 @@ func (s *Store) deleteLocked(sh *shard, key string) (string, bool) {
 	old, existed := sh.items[key]
 	if existed {
 		delete(sh.items, key)
+		sh.keys.delete(key)
 		s.reindex(key, old, true, "", false)
 	}
 	return old, existed
@@ -320,24 +339,26 @@ type Write struct {
 // a batch is not a point-in-time snapshot across shards; atomicity
 // across the batch is the caller's job (the oltp layer's logical
 // record locks provide it).
+//
+// Grouping allocates nothing for batches of up to smallBatch writes.
 func (s *Store) ApplyBatch(writes []Write) {
-	if len(writes) == 0 {
-		return
+	// Each entry packs shard<<32 | write index, so one sort groups the
+	// writes by ascending shard and keeps slice order within a shard.
+	var small [smallBatch]uint64
+	order := small[:0]
+	if len(writes) > smallBatch {
+		order = make([]uint64, 0, len(writes))
 	}
-	byShard := make(map[int][]Write)
-	order := make([]int, 0, 4)
-	for _, w := range writes {
-		idx := s.ShardOf(w.Key)
-		if _, seen := byShard[idx]; !seen {
-			order = append(order, idx)
-		}
-		byShard[idx] = append(byShard[idx], w)
+	for i, w := range writes {
+		order = append(order, uint64(s.ShardOf(w.Key))<<32|uint64(i))
 	}
-	sort.Ints(order)
-	for _, idx := range order {
+	slices.Sort(order)
+	for lo := 0; lo < len(order); {
+		idx := order[lo] >> 32
 		sh := s.shards[idx]
 		sh.mu.Lock()
-		for _, w := range byShard[idx] {
+		for ; lo < len(order) && order[lo]>>32 == idx; lo++ {
+			w := &writes[uint32(order[lo])]
 			if w.Delete {
 				s.deleteLocked(sh, w.Key)
 			} else {
@@ -347,6 +368,9 @@ func (s *Store) ApplyBatch(writes []Write) {
 		sh.mu.Unlock()
 	}
 }
+
+// smallBatch is the largest ApplyBatch write set grouped on the stack.
+const smallBatch = 32
 
 // reindex moves key from the old value's posting set to the new one.
 // Called with the key's shard latch held; takes the affected stripe
@@ -418,22 +442,80 @@ func (s *Store) Lookup(value string) []string {
 // Ordering contract: the result is in ascending lexicographic
 // (byte-wise) key order, and with a limit it is the first `limit`
 // matches in that order — deterministic, callers may rely on it.
+//
+// Cost: per shard, a seek to prefix in its key index plus a copy of at
+// most limit keys — and, once limit matches are in hand, only keys
+// below the limit-th — so each shard latch is held for a seek plus
+// O(limit), not for the shard's size. Each shard's sorted run is
+// merged into a result capped at limit; nothing is sorted.
 func (s *Store) Scan(prefix string, limit int) []KV {
-	var out []KV
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for k, v := range sh.items {
-			if strings.HasPrefix(k, prefix) {
-				out = append(out, KV{Key: k, Value: v})
-			}
-		}
-		sh.mu.RUnlock()
+	if limit <= 0 {
+		limit = math.MaxInt
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
+	var out, run, tmp []KV
+	for _, sh := range s.shards {
+		// With limit pairs in hand, only keys below the last one can
+		// still make the result.
+		bound, bounded := "", len(out) == limit
+		if bounded {
+			bound = out[limit-1].Key
+		}
+		sh.mu.RLock()
+		run = sh.appendRun(run[:0], prefix, limit, bound, bounded)
+		sh.mu.RUnlock()
+		switch {
+		case len(run) == 0:
+		case len(out) == 0:
+			out, run = run, out
+		default:
+			tmp = mergeKV(growKV(tmp[:0], len(out)+len(run), limit), out, run, limit)
+			out, tmp = tmp, out
+		}
 	}
 	return out
+}
+
+// appendRun appends to run, in key order, the shard's pairs whose key
+// has prefix and, when bounded, sorts below bound — until run holds
+// limit pairs. The caller holds sh's latch.
+func (sh *shard) appendRun(run []KV, prefix string, limit int, bound string, bounded bool) []KV {
+	c, i, _ := sh.keys.locate(prefix)
+	for ; c < len(sh.keys.chunks); c, i = c+1, 0 {
+		ch := &sh.keys.chunks[c]
+		for _, slot := range ch.ord[i:] {
+			k := ch.keys[slot]
+			if len(run) == limit || !strings.HasPrefix(k, prefix) || bounded && k >= bound {
+				return run
+			}
+			if len(run) == cap(run) {
+				run = growKV(run, len(sh.items), limit)
+			}
+			run = append(run, KV{Key: k, Value: sh.items[k]})
+		}
+	}
+	return run
+}
+
+// growKV returns buf with room for min(n, limit) pairs in all. It
+// grows geometrically, so an unlimited scan reallocates O(log n) times.
+func growKV(buf []KV, n, limit int) []KV {
+	if n = min(n, limit); cap(buf) < n {
+		return append(make([]KV, 0, min(max(n, 2*cap(buf)), limit)), buf...)
+	}
+	return buf
+}
+
+// mergeKV appends to dst the first limit pairs of the merge of the
+// sorted, key-disjoint runs a and b.
+func mergeKV(dst, a, b []KV, limit int) []KV {
+	for n := min(len(a)+len(b), limit); n > 0; n-- {
+		if len(b) == 0 || len(a) > 0 && a[0].Key < b[0].Key {
+			dst, a = append(dst, a[0]), a[1:]
+		} else {
+			dst, b = append(dst, b[0]), b[1:]
+		}
+	}
+	return dst
 }
 
 // ScanShard returns every pair currently stored in shard idx, in
@@ -447,11 +529,13 @@ func (s *Store) ScanShard(idx int) []KV {
 	sh := s.shards[idx]
 	sh.mu.RLock()
 	out := make([]KV, 0, len(sh.items))
-	for k, v := range sh.items {
-		out = append(out, KV{Key: k, Value: v})
+	for _, ch := range sh.keys.chunks {
+		for _, slot := range ch.ord {
+			k := ch.keys[slot]
+			out = append(out, KV{Key: k, Value: sh.items[k]})
+		}
 	}
 	sh.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
 }
 
